@@ -9,15 +9,23 @@
 // simulation with a fixed seed is bit-for-bit reproducible.
 package cache
 
-// way is one cache entry. A zero stamp marks the way invalid: stamps are
-// assigned from the tick counter after it is incremented, so a resident
-// entry always carries a stamp >= 1. Keeping tag and stamp adjacent (one
-// struct array instead of three parallel slices) is what makes the lookup
-// scan walk one contiguous region per set — the simulator's single hottest
-// loop.
+import (
+	"cmp"
+	"fmt"
+	"math"
+	"slices"
+)
+
+// way is one cache entry, 8 host bytes. tag holds the cache tag shifted
+// right by the set-index bits (the set index already fixes the low bits).
+// A zero stamp marks the way invalid: stamps are assigned from the tick
+// counter after it is incremented, so a resident entry always carries a
+// stamp >= 1. Keeping tag and stamp adjacent (one struct array instead of
+// three parallel slices) is what makes the lookup scan walk one contiguous
+// region per set — the simulator's single hottest loop.
 type way struct {
-	tag   uint64
-	stamp uint64
+	tag   uint32
+	stamp uint32
 }
 
 // Cache is a set-associative cache with true LRU replacement. Capacity is
@@ -25,9 +33,10 @@ type way struct {
 // the caller decides what a tag means.
 type Cache struct {
 	ways     int
+	setBits  uint
 	setMask  uint64
 	entries  []way
-	tick     uint64
+	tick     uint32
 	accesses uint64
 	misses   uint64
 }
@@ -36,6 +45,11 @@ type Cache struct {
 // given associativity. The set count is rounded up to a power of two, so
 // the effective capacity may slightly exceed entries. ways must be >= 1; an
 // entries value below ways is raised to ways (one set).
+//
+// Tags must satisfy tag>>setBits < 2^32, where 2^setBits is the set count:
+// a way stores only the tag bits above the set index, in 32 bits. Access
+// and AccessIndexed panic on a tag outside that domain; Contains and
+// Invalidate report it absent.
 func New(entries, ways int) *Cache {
 	if ways < 1 {
 		ways = 1
@@ -43,12 +57,14 @@ func New(entries, ways int) *Cache {
 	if entries < ways {
 		entries = ways
 	}
-	sets := 1
+	sets, setBits := 1, uint(0)
 	for sets*ways < entries {
 		sets <<= 1
+		setBits++
 	}
 	return &Cache{
 		ways:    ways,
+		setBits: setBits,
 		setMask: uint64(sets - 1),
 		entries: make([]way, sets*ways),
 	}
@@ -56,6 +72,53 @@ func New(entries, ways int) *Cache {
 
 // Entries returns the effective capacity in entries.
 func (c *Cache) Entries() int { return len(c.entries) }
+
+// split returns the index of tag's set's first entry and the tag bits
+// stored in a way, and reports whether tag lies in the domain New
+// documents.
+func (c *Cache) split(tag uint64) (set int, rem uint32, ok bool) {
+	hi := tag >> c.setBits
+	return int(tag&c.setMask) * c.ways, uint32(hi), hi <= math.MaxUint32
+}
+
+// outOfDomain panics for a tag whose bits above the set index do not fit a
+// way: a caller bug, since New documents the domain.
+func (c *Cache) outOfDomain(tag uint64) {
+	panic(fmt.Sprintf("cache: tag %#x out of domain: tag>>%d must be < 2^32 (%d sets x %d ways)",
+		tag, c.setBits, c.setMask+1, c.ways))
+}
+
+// next advances the stamp clock and returns the new stamp. Before the
+// 32-bit clock would wrap, renumber compacts every stamp.
+func (c *Cache) next() uint32 {
+	if c.tick == math.MaxUint32 {
+		c.renumber()
+	}
+	c.tick++
+	return c.tick
+}
+
+// renumber replaces each resident stamp by its rank within its set (1 for
+// the least recent; invalid ways keep 0) and restarts the clock at ways,
+// above every rank. Replacement only ever compares stamps within one set,
+// so every later hit, victim and index is the same as without renumbering.
+func (c *Cache) renumber() {
+	order := make([]int, 0, c.ways)
+	for set := 0; set < len(c.entries); set += c.ways {
+		w := c.entries[set : set+c.ways]
+		order = order[:0]
+		for i := range w {
+			if w[i].stamp != 0 {
+				order = append(order, i)
+			}
+		}
+		slices.SortFunc(order, func(a, b int) int { return cmp.Compare(w[a].stamp, w[b].stamp) })
+		for rank, i := range order {
+			w[i].stamp = uint32(rank + 1)
+		}
+	}
+	c.tick = uint32(c.ways)
+}
 
 // Access looks up tag, inserting it (with LRU eviction) on a miss, and
 // reports whether the lookup hit.
@@ -66,16 +129,19 @@ func (c *Cache) Entries() int { return len(c.entries) }
 // impossible tie — stamps are unique) is evicted. This is decision-for-
 // decision identical to scanning validity and recency separately.
 func (c *Cache) Access(tag uint64) bool {
-	c.tick++
+	set, rem, ok := c.split(tag)
+	if !ok {
+		c.outOfDomain(tag)
+	}
+	stamp := c.next()
 	c.accesses++
-	set := int(tag&c.setMask) * c.ways
 	w := c.entries[set : set+c.ways]
 	victim := 0
-	victimStamp := ^uint64(0)
+	victimStamp := ^uint32(0)
 	for i := range w {
 		e := &w[i]
-		if e.stamp != 0 && e.tag == tag {
-			e.stamp = c.tick
+		if e.stamp != 0 && e.tag == rem {
+			e.stamp = stamp
 			return true
 		}
 		if e.stamp < victimStamp {
@@ -83,7 +149,7 @@ func (c *Cache) Access(tag uint64) bool {
 		}
 	}
 	c.misses++
-	w[victim] = way{tag: tag, stamp: c.tick}
+	w[victim] = way{tag: rem, stamp: stamp}
 	return false
 }
 
@@ -91,16 +157,19 @@ func (c *Cache) Access(tag uint64) bool {
 // entry index now holding tag, so an immediately following re-access of the
 // same tag can use Repeat instead of rescanning the set.
 func (c *Cache) AccessIndexed(tag uint64) (hit bool, idx int) {
-	c.tick++
+	set, rem, ok := c.split(tag)
+	if !ok {
+		c.outOfDomain(tag)
+	}
+	stamp := c.next()
 	c.accesses++
-	set := int(tag&c.setMask) * c.ways
 	w := c.entries[set : set+c.ways]
 	victim := 0
-	victimStamp := ^uint64(0)
+	victimStamp := ^uint32(0)
 	for i := range w {
 		e := &w[i]
-		if e.stamp != 0 && e.tag == tag {
-			e.stamp = c.tick
+		if e.stamp != 0 && e.tag == rem {
+			e.stamp = stamp
 			return true, set + i
 		}
 		if e.stamp < victimStamp {
@@ -108,7 +177,7 @@ func (c *Cache) AccessIndexed(tag uint64) (hit bool, idx int) {
 		}
 	}
 	c.misses++
-	w[victim] = way{tag: tag, stamp: c.tick}
+	w[victim] = way{tag: rem, stamp: stamp}
 	return false, set + victim
 }
 
@@ -119,18 +188,26 @@ func (c *Cache) AccessIndexed(tag uint64) (hit bool, idx int) {
 // batched access path guarantees this by invalidating its handles at every
 // yield point).
 func (c *Cache) Repeat(idx int) {
-	c.tick++
 	c.accesses++
+	// next, spelled out: calling it would push Repeat past the compiler's
+	// inlining budget, and the batched access path calls Repeat per line.
+	if c.tick == math.MaxUint32 {
+		c.renumber()
+	}
+	c.tick++
 	c.entries[idx].stamp = c.tick
 }
 
 // Contains reports whether tag is resident without updating recency or
 // counters.
 func (c *Cache) Contains(tag uint64) bool {
-	set := int(tag&c.setMask) * c.ways
+	set, rem, ok := c.split(tag)
+	if !ok {
+		return false
+	}
 	for i := set; i < set+c.ways; i++ {
 		e := &c.entries[i]
-		if e.stamp != 0 && e.tag == tag {
+		if e.stamp != 0 && e.tag == rem {
 			return true
 		}
 	}
@@ -139,10 +216,13 @@ func (c *Cache) Contains(tag uint64) bool {
 
 // Invalidate removes tag if present, reporting whether it was resident.
 func (c *Cache) Invalidate(tag uint64) bool {
-	set := int(tag&c.setMask) * c.ways
+	set, rem, ok := c.split(tag)
+	if !ok {
+		return false
+	}
 	for i := set; i < set+c.ways; i++ {
 		e := &c.entries[i]
-		if e.stamp != 0 && e.tag == tag {
+		if e.stamp != 0 && e.tag == rem {
 			e.stamp = 0
 			return true
 		}

@@ -1,8 +1,12 @@
 package cache
 
 import (
+	"math/rand"
+	"runtime"
+	"strings"
 	"testing"
 	"testing/quick"
+	"unsafe"
 )
 
 func TestHitAfterInsert(t *testing.T) {
@@ -120,6 +124,7 @@ func TestContainsMatchesAccessProperty(t *testing.T) {
 	c := New(256, 4)
 	f := func(tags []uint64) bool {
 		for _, tag := range tags {
+			tag &= c.domainMask()
 			c.Access(tag)
 			if !c.Contains(tag) {
 				return false // just-inserted tag must be resident
@@ -153,12 +158,13 @@ func TestAccessIndexedEquivalence(t *testing.T) {
 	a, b := New(64, 4), New(64, 4)
 	f := func(tags []uint64) bool {
 		for _, tag := range tags {
+			tag &= b.domainMask()
 			hitA := a.Access(tag)
 			hitB, idx := b.AccessIndexed(tag)
 			if hitA != hitB {
 				return false
 			}
-			if b.entries[idx].tag != tag || b.entries[idx].stamp == 0 {
+			if !b.holdsAt(idx, tag) {
 				return false
 			}
 		}
@@ -316,5 +322,108 @@ func TestTLBRefNoHugeArray(t *testing.T) {
 	acc, miss := tlb.Stats()
 	if acc != 0 || miss != 0 {
 		t.Fatalf("stats = %d/%d, want untouched (0/0)", acc, miss)
+	}
+}
+
+// domainMask keeps the tag bits New's documented domain admits.
+func (c *Cache) domainMask() uint64 { return 1<<(32+c.setBits) - 1 }
+
+// holdsAt reports whether entry idx lies in tag's set and holds tag.
+func (c *Cache) holdsAt(idx int, tag uint64) bool {
+	set, rem, ok := c.split(tag)
+	e := c.entries[idx]
+	return ok && idx-idx%c.ways == set && e.stamp != 0 && e.tag == rem
+}
+
+// TestWayIsEightBytes pins the per-entry host footprint: a field added to
+// way must not silently double every cache model's size.
+func TestWayIsEightBytes(t *testing.T) {
+	if got := unsafe.Sizeof(way{}); got != 8 {
+		t.Fatalf("unsafe.Sizeof(way{}) = %d, want 8", got)
+	}
+}
+
+// TestOutOfDomainTags pins the tag-domain contract of New: Access and
+// AccessIndexed panic with a message naming the tag and the geometry,
+// before touching any state; Contains and Invalidate report such a tag
+// absent even when its low 32 bits above the set index alias a resident
+// tag.
+func TestOutOfDomainTags(t *testing.T) {
+	c := New(256, 4) // 64 sets: tags must be < 2^38
+	resident := uint64(5)
+	alias := resident + 1<<38 // same set, same low 32 remainder bits
+	c.Access(resident)
+	for name, op := range map[string]func(){
+		"Access":        func() { c.Access(alias) },
+		"AccessIndexed": func() { c.AccessIndexed(alias) },
+	} {
+		func() {
+			defer func() {
+				msg, _ := recover().(string)
+				for _, want := range []string{"0x4000000005", "64 sets x 4 ways"} {
+					if !strings.Contains(msg, want) {
+						t.Errorf("%s(%#x): panic %q does not name %q", name, alias, msg, want)
+					}
+				}
+			}()
+			op()
+		}()
+	}
+	if acc, miss := c.Stats(); acc != 1 || miss != 1 {
+		t.Errorf("stats = %d/%d after rejected tags, want 1/1", acc, miss)
+	}
+	if c.Contains(alias) {
+		t.Error("Contains reported an out-of-domain tag resident")
+	}
+	if c.Invalidate(alias) {
+		t.Error("Invalidate reported an out-of-domain tag resident")
+	}
+	if !c.Contains(resident) {
+		t.Error("Invalidate of an out-of-domain alias evicted the resident tag")
+	}
+	c.Access(1<<38 - 1)
+	if !c.Contains(1<<38 - 1) {
+		t.Error("largest in-domain tag was not inserted")
+	}
+}
+
+// BenchmarkCacheLookup measures Access over the simulator's real preset
+// geometries, on a uniform random tag stream over twice each capacity (so
+// about half the lookups miss and scan the whole set), and reports the
+// host bytes New allocates per entry.
+func BenchmarkCacheLookup(b *testing.B) {
+	for _, g := range []struct {
+		name          string
+		entries, ways int
+	}{
+		{"A-LLC-2048x16", 2048 * 16, 16},
+		{"L1-128x8", 128 * 8, 8},
+		{"A-TLB4K", 32 + 512, 4},
+		{"C-LLC-65536x16", 65536 * 16, 16},
+	} {
+		b.Run(g.name, func(b *testing.B) {
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			c := New(g.entries, g.ways)
+			runtime.ReadMemStats(&after)
+			n := 1 << 16
+			for n < 2*c.Entries() {
+				n <<= 1
+			}
+			tags := make([]uint64, n)
+			rng := rand.New(rand.NewSource(1))
+			for i := range tags {
+				tags[i] = uint64(rng.Intn(2 * c.Entries()))
+			}
+			for _, tag := range tags {
+				c.Access(tag) // warm
+			}
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				c.Access(tags[i&(len(tags)-1)])
+			}
+			b.StopTimer()
+			b.ReportMetric(float64(after.TotalAlloc-before.TotalAlloc)/float64(c.Entries()), "bytes/entry")
+		})
 	}
 }

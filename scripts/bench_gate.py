@@ -8,12 +8,12 @@ baseline committed from one machine remains meaningful on CI runners.
 Absolute ns/op numbers are carried along as informational context only.
 
 Usage:
-  bench_gate.py baseline bench_out.txt [--fig2-seconds S] > BENCH_pr5.json
+  bench_gate.py baseline bench_out.txt [--fig2-seconds S] > BENCH_pr10.json
       Parse a bench run into a committed baseline. The fig2-cal probe is
       taken from BenchmarkAccessPathFig2Cal in the bench output when
       present; --fig2-seconds overrides it.
 
-  bench_gate.py compare BENCH_pr5.json bench_out.txt [--fig2-seconds S]
+  bench_gate.py compare BENCH_pr10.json bench_out.txt [--fig2-seconds S]
       [--threshold 0.10] [--out comparison.json]
       Compare a fresh bench run against the baseline. Exits 1 if any gated
       ratio moved more than threshold (relative), printing a table either

@@ -28,9 +28,8 @@ top-level "spans" key: span counts by kind, total and mean service
 cycles, and the in-window kind/initiator event totals the blame join
 cuts by.
 
-CI regenerates this as BENCH_ci.json; the committed BENCH_pr4.json is one
-run over the PR's cal-scale fig2+profile sweep plus an sha tuning
-campaign.
+CI regenerates this as BENCH_ci.json from one run over the cal-scale
+fig2+profile sweep, an sha tuning campaign and the adaptive serving cells.
 """
 import json
 import sys

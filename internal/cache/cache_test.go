@@ -3,6 +3,7 @@ package cache
 import (
 	"math/rand"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -151,20 +152,30 @@ func TestDegenerateConfigs(t *testing.T) {
 	}
 }
 
-// TestAccessIndexedEquivalence: an AccessIndexed-driven cache must evolve
-// exactly like an Access-driven one over the same tag sequence, and the
-// returned index must always point at the entry now holding the tag.
-func TestAccessIndexedEquivalence(t *testing.T) {
+// TestRepeatContract: after Access, the tag is its set's most recent, so a
+// cache driven by Access+Repeat for immediate re-touches must evolve
+// exactly like one driven by Access alone: same hits, same Stats, same
+// recency order in every set.
+func TestRepeatContract(t *testing.T) {
 	a, b := New(64, 4), New(64, 4)
 	f := func(tags []uint64) bool {
-		for _, tag := range tags {
-			tag &= b.domainMask()
-			hitA := a.Access(tag)
-			hitB, idx := b.AccessIndexed(tag)
-			if hitA != hitB {
+		for _, raw := range tags {
+			tag := raw & b.domainMask()
+			if a.Access(tag) != b.Access(tag) {
 				return false
 			}
-			if !b.holdsAt(idx, tag) {
+			if set := int(tag & b.setMask); b.order(set)[0] != tag {
+				return false
+			}
+			for range raw >> 62 { // 0-3 immediate re-touches
+				if !a.Access(tag) {
+					return false
+				}
+				b.Repeat()
+			}
+		}
+		for set := range int(b.setMask + 1) {
+			if !slices.Equal(a.order(set), b.order(set)) {
 				return false
 			}
 		}
@@ -177,16 +188,16 @@ func TestAccessIndexedEquivalence(t *testing.T) {
 	}
 }
 
-// TestRepeatMatchesAccessHit: Repeat on an index from AccessIndexed must
-// leave the cache in the same state as a hitting Access on the same tag.
+// TestRepeatMatchesAccessHit: Repeat after Access must leave the cache in
+// the same state as a hitting Access on the same tag.
 func TestRepeatMatchesAccessHit(t *testing.T) {
 	a, b := New(16, 2), New(16, 2)
 	a.Access(9)
 	b.Access(9)
 	a.Access(9)
-	_, idx := b.AccessIndexed(9)
+	b.Access(9)
 	a.Access(9) // third touch via full lookup...
-	b.Repeat(idx)
+	b.Repeat()
 	// ...must equal the third touch via Repeat: same stats and same
 	// eviction behaviour afterwards.
 	accA, missA := a.Stats()
@@ -207,17 +218,74 @@ func TestRepeatMatchesAccessHit(t *testing.T) {
 
 func TestRepeatAfterMissInsert(t *testing.T) {
 	c := New(16, 2)
-	hit, idx := c.AccessIndexed(3)
-	if hit {
+	if c.Access(3) {
 		t.Fatal("cold cache must miss")
 	}
-	c.Repeat(idx) // re-touch the freshly inserted entry
+	c.Repeat() // re-touch the freshly inserted entry
 	acc, miss := c.Stats()
 	if acc != 2 || miss != 1 {
 		t.Fatalf("stats = %d/%d, want 2 accesses 1 miss", acc, miss)
 	}
 	if !c.Contains(3) {
 		t.Fatal("tag should be resident after insert+repeat")
+	}
+}
+
+// TestInvalidateMidOrder removes tags from the front, middle and back of a
+// full set's recency order: the rest keep their order, and the freed slot
+// takes the next miss without an eviction.
+func TestInvalidateMidOrder(t *testing.T) {
+	c := New(4, 4) // one set
+	for tag := uint64(1); tag <= 4; tag++ {
+		c.Access(tag)
+	}
+	for _, step := range []struct {
+		invalidate uint64
+		want       []uint64
+	}{
+		{2, []uint64{4, 3, 1}}, // middle
+		{4, []uint64{3, 1}},    // front
+		{1, []uint64{3}},       // back
+	} {
+		if !c.Invalidate(step.invalidate) {
+			t.Fatalf("Invalidate(%d) reported absent", step.invalidate)
+		}
+		if got := c.order(0); !slices.Equal(got, step.want) {
+			t.Fatalf("after Invalidate(%d): order %v, want %v", step.invalidate, got, step.want)
+		}
+	}
+	for tag := uint64(5); tag <= 7; tag++ {
+		c.Access(tag)
+	}
+	if got, want := c.order(0), []uint64{7, 6, 5, 3}; !slices.Equal(got, want) {
+		t.Fatalf("refill: order %v, want %v", got, want)
+	}
+	if !c.Access(3) || c.Access(8) {
+		t.Fatal("3 must hit, 8 must miss")
+	}
+	if got, want := c.order(0), []uint64{8, 3, 7, 6}; !slices.Equal(got, want) {
+		t.Fatalf("after eviction: order %v, want %v (5 was least recent)", got, want)
+	}
+}
+
+// TestFlushMidOrder flushes a partly reordered set: no stale slot may be
+// seen afterwards, and the set refills from empty.
+func TestFlushMidOrder(t *testing.T) {
+	c := New(4, 4)
+	for _, tag := range []uint64{1, 2, 3, 1, 4, 2} {
+		c.Access(tag)
+	}
+	c.Flush()
+	for tag := uint64(1); tag <= 4; tag++ {
+		if c.Contains(tag) || c.Invalidate(tag) {
+			t.Fatalf("tag %d resident after Flush", tag)
+		}
+	}
+	if c.Access(3) || c.Access(1) {
+		t.Fatal("accesses after Flush must miss")
+	}
+	if got, want := c.order(0), []uint64{1, 3}; !slices.Equal(got, want) {
+		t.Fatalf("after Flush and refill: order %v, want %v", got, want)
 	}
 }
 
@@ -290,7 +358,7 @@ func TestTLBStats(t *testing.T) {
 
 func TestTLBRefRepeat(t *testing.T) {
 	tlb := NewTLB(16, 8, 2)
-	hit, ref := tlb.AccessIndexed(5, false)
+	hit, ref := tlb.AccessRef(5, false)
 	if hit {
 		t.Fatal("cold lookup must miss")
 	}
@@ -302,7 +370,7 @@ func TestTLBRefRepeat(t *testing.T) {
 		t.Fatalf("stats = %d/%d, want 2 accesses 1 miss", acc, miss)
 	}
 	// Huge translation through the 2MiB array.
-	_, href := tlb.AccessIndexed(512*2, true)
+	_, href := tlb.AccessRef(512*2, true)
 	if !href.Repeat() {
 		t.Fatal("repeat of a huge translation must hit when the array exists")
 	}
@@ -310,7 +378,7 @@ func TestTLBRefRepeat(t *testing.T) {
 
 func TestTLBRefNoHugeArray(t *testing.T) {
 	tlb := NewTLB(16, 0, 2)
-	hit, ref := tlb.AccessIndexed(512*2, true)
+	hit, ref := tlb.AccessRef(512*2, true)
 	if hit {
 		t.Fatal("huge lookup without a 2MiB array must miss")
 	}
@@ -328,23 +396,46 @@ func TestTLBRefNoHugeArray(t *testing.T) {
 // domainMask keeps the tag bits New's documented domain admits.
 func (c *Cache) domainMask() uint64 { return 1<<(32+c.setBits) - 1 }
 
-// holdsAt reports whether entry idx lies in tag's set and holds tag.
-func (c *Cache) holdsAt(idx int, tag uint64) bool {
-	set, rem, ok := c.split(tag)
-	e := c.entries[idx]
-	return ok && idx-idx%c.ways == set && e.stamp != 0 && e.tag == rem
-}
-
-// TestWayIsEightBytes pins the per-entry host footprint: a field added to
-// way must not silently double every cache model's size.
-func TestWayIsEightBytes(t *testing.T) {
-	if got := unsafe.Sizeof(way{}); got != 8 {
-		t.Fatalf("unsafe.Sizeof(way{}) = %d, want 8", got)
+// TestEntryIsFourBytes pins the per-entry host footprint: one uint32 tag
+// slot per entry, plus one fill byte per set.
+func TestEntryIsFourBytes(t *testing.T) {
+	c := New(0, 1)
+	if got := unsafe.Sizeof(c.tags[0]); got != 4 {
+		t.Fatalf("tag slot is %d bytes, want 4", got)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	c = New(65536*16, 16)
+	runtime.ReadMemStats(&after)
+	perEntry := float64(after.TotalAlloc-before.TotalAlloc) / float64(c.Entries())
+	if want := 4 + 1.0/16; perEntry < want || perEntry > want+0.01 {
+		t.Fatalf("New allocated %.4f bytes per entry, want %.4f", perEntry, want)
 	}
 }
 
-// TestOutOfDomainTags pins the tag-domain contract of New: Access and
-// AccessIndexed panic with a message naming the tag and the geometry,
+// TestNewRejectsTooManyWays: a set's fill count is one byte, so New panics
+// on an associativity above 255, naming it, and accepts 255.
+func TestNewRejectsTooManyWays(t *testing.T) {
+	func() {
+		defer func() {
+			msg, _ := recover().(string)
+			if !strings.Contains(msg, "256 ways") || !strings.Contains(msg, "255") {
+				t.Errorf("New(1024, 256): panic %q does not name the ways and the maximum", msg)
+			}
+		}()
+		New(1024, 256)
+	}()
+	c := New(255, 255) // one set
+	for tag := uint64(0); tag < 256; tag++ {
+		c.Access(tag)
+	}
+	if c.Contains(0) || !c.Contains(1) {
+		t.Fatal("255-way set must evict exactly its least recent tag")
+	}
+}
+
+// TestOutOfDomainTags pins the tag-domain contract of New: Access panics
+// with a message naming the tag and the geometry,
 // before touching any state; Contains and Invalidate report such a tag
 // absent even when its low 32 bits above the set index alias a resident
 // tag.
@@ -354,8 +445,7 @@ func TestOutOfDomainTags(t *testing.T) {
 	alias := resident + 1<<38 // same set, same low 32 remainder bits
 	c.Access(resident)
 	for name, op := range map[string]func(){
-		"Access":        func() { c.Access(alias) },
-		"AccessIndexed": func() { c.AccessIndexed(alias) },
+		"Access": func() { c.Access(alias) },
 	} {
 		func() {
 			defer func() {
@@ -388,9 +478,13 @@ func TestOutOfDomainTags(t *testing.T) {
 }
 
 // BenchmarkCacheLookup measures Access over the simulator's real preset
-// geometries, on a uniform random tag stream over twice each capacity (so
-// about half the lookups miss and scan the whole set), and reports the
-// host bytes New allocates per entry.
+// geometries on two tag streams, and reports the host bytes New allocates
+// per entry. The uniform stream draws tags at random from twice each
+// capacity, so about half the lookups miss and shift a whole set, and hits
+// land at any rank: the worst case for recency-ordered sets. The skewed
+// stream (suffix -skewed) draws them from a Zipf distribution over the same
+// range, so a few tags per set take most lookups and hit near the front,
+// as in the simulator's streams.
 func BenchmarkCacheLookup(b *testing.B) {
 	for _, g := range []struct {
 		name          string
@@ -401,29 +495,36 @@ func BenchmarkCacheLookup(b *testing.B) {
 		{"A-TLB4K", 32 + 512, 4},
 		{"C-LLC-65536x16", 65536 * 16, 16},
 	} {
-		b.Run(g.name, func(b *testing.B) {
-			var before, after runtime.MemStats
-			runtime.ReadMemStats(&before)
-			c := New(g.entries, g.ways)
-			runtime.ReadMemStats(&after)
-			n := 1 << 16
-			for n < 2*c.Entries() {
-				n <<= 1
-			}
-			tags := make([]uint64, n)
-			rng := rand.New(rand.NewSource(1))
-			for i := range tags {
-				tags[i] = uint64(rng.Intn(2 * c.Entries()))
-			}
-			for _, tag := range tags {
-				c.Access(tag) // warm
-			}
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				c.Access(tags[i&(len(tags)-1)])
-			}
-			b.StopTimer()
-			b.ReportMetric(float64(after.TotalAlloc-before.TotalAlloc)/float64(c.Entries()), "bytes/entry")
-		})
+		for _, stream := range []string{"", "-skewed"} {
+			b.Run(g.name+stream, func(b *testing.B) {
+				var before, after runtime.MemStats
+				runtime.ReadMemStats(&before)
+				c := New(g.entries, g.ways)
+				runtime.ReadMemStats(&after)
+				n := 1 << 16
+				for n < 2*c.Entries() {
+					n <<= 1
+				}
+				tags := make([]uint64, n)
+				rng := rand.New(rand.NewSource(1))
+				zipf := rand.NewZipf(rng, 1.2, 1, uint64(2*c.Entries()-1))
+				for i := range tags {
+					if stream == "" {
+						tags[i] = uint64(rng.Intn(2 * c.Entries()))
+					} else {
+						tags[i] = zipf.Uint64()
+					}
+				}
+				for _, tag := range tags {
+					c.Access(tag) // warm
+				}
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					c.Access(tags[i&(len(tags)-1)])
+				}
+				b.StopTimer()
+				b.ReportMetric(float64(after.TotalAlloc-before.TotalAlloc)/float64(c.Entries()), "bytes/entry")
+			})
+		}
 	}
 }

@@ -2,27 +2,20 @@ package cache
 
 import (
 	"container/list"
-	"math"
 	"math/rand"
+	"slices"
 	"testing"
 )
 
 // refLRU is a naive reference model of a set-associative true-LRU cache:
-// one recency list per set (front = most recent) and a map from tag to its
-// list element. A missing tag takes the lowest-numbered free way of its
-// set, or else the way of the set's least recent tag. It shares no code or
-// representation with Cache.
+// one recency list of tags per set (front = most recent) and a map from tag
+// to its list element. It shares no code or representation with Cache.
 type refLRU struct {
 	sets, ways       int
 	setBits          uint
-	recency          []*list.List // per set; values are refEntry
+	recency          []*list.List // per set; values are uint64 tags
 	where            map[uint64]*list.Element
 	accesses, misses uint64
-}
-
-type refEntry struct {
-	tag uint64
-	way int
 }
 
 // newRefLRU applies New's documented geometry: the set count is the
@@ -44,32 +37,21 @@ func newRefLRU(entries, ways int) *refLRU {
 // inDomain reports whether tag is one New's documented domain admits.
 func (r *refLRU) inDomain(tag uint64) bool { return tag>>r.setBits < 1<<32 }
 
-func (r *refLRU) access(tag uint64) (hit bool, idx int) {
+func (r *refLRU) setOf(tag uint64) int { return int(tag % uint64(r.sets)) }
+
+func (r *refLRU) access(tag uint64) (hit bool) {
 	r.accesses++
-	set := int(tag % uint64(r.sets))
-	l := r.recency[set]
+	l := r.recency[r.setOf(tag)]
 	if e, ok := r.where[tag]; ok {
 		l.MoveToFront(e)
-		return true, set*r.ways + e.Value.(refEntry).way
+		return true
 	}
 	r.misses++
-	way := 0
-	if l.Len() < r.ways {
-		used := make([]bool, r.ways)
-		for e := l.Front(); e != nil; e = e.Next() {
-			used[e.Value.(refEntry).way] = true
-		}
-		for used[way] {
-			way++
-		}
-	} else {
-		lru := l.Back()
-		way = lru.Value.(refEntry).way
-		delete(r.where, lru.Value.(refEntry).tag)
-		l.Remove(lru)
+	if l.Len() == r.ways {
+		delete(r.where, l.Remove(l.Back()).(uint64))
 	}
-	r.where[tag] = l.PushFront(refEntry{tag: tag, way: way})
-	return false, set*r.ways + way
+	r.where[tag] = l.PushFront(tag)
+	return false
 }
 
 func (r *refLRU) contains(tag uint64) bool {
@@ -80,7 +62,7 @@ func (r *refLRU) contains(tag uint64) bool {
 func (r *refLRU) invalidate(tag uint64) bool {
 	e, ok := r.where[tag]
 	if ok {
-		r.recency[int(tag%uint64(r.sets))].Remove(e)
+		r.recency[r.setOf(tag)].Remove(e)
 		delete(r.where, tag)
 	}
 	return ok
@@ -91,6 +73,25 @@ func (r *refLRU) flush() {
 		l.Init()
 	}
 	clear(r.where)
+}
+
+// order returns set's tags, most recent first.
+func (r *refLRU) order(set int) []uint64 {
+	var tags []uint64
+	for e := r.recency[set].Front(); e != nil; e = e.Next() {
+		tags = append(tags, e.Value.(uint64))
+	}
+	return tags
+}
+
+// order returns set's resident tags, most recent first, rebuilt from the
+// stored remainders.
+func (c *Cache) order(set int) []uint64 {
+	var tags []uint64
+	for _, rem := range c.tags[set*c.ways : set*c.ways+int(c.fill[set])] {
+		tags = append(tags, uint64(rem)<<c.setBits|uint64(set))
+	}
+	return tags
 }
 
 // waysChoices are the associativities the differential tests cover.
@@ -112,7 +113,8 @@ func randomOps(seed int64, n int) []byte {
 
 // runVsReference decodes ops three bytes at a time into Cache operations,
 // applies each to c and to r, and fails on the first difference in a hit
-// flag, returned index, residency answer or Stats. Tags come from three
+// flag, residency answer, Stats, or the recency order of the operated-on
+// set (of every set after a Flush and at the end). Tags come from three
 // regions of the documented domain (small, middle, top, so the stored
 // 32-bit remainder is exercised at both ends) and, for Contains and
 // Invalidate, from just outside it.
@@ -121,9 +123,9 @@ func runVsReference(t testing.TB, c *Cache, r *refLRU, ops []byte) {
 	if c.Entries() != r.sets*r.ways {
 		t.Fatalf("Entries() = %d, reference geometry %d sets x %d ways", c.Entries(), r.sets, r.ways)
 	}
+	sameOrder := func(set int) bool { return slices.Equal(c.order(set), r.order(set)) }
 	var lastTag uint64
-	var lastIdx int
-	repeatable := false // lastIdx came from AccessIndexed/Repeat of lastTag, nothing since moved it
+	repeatable := false // lastTag was the last Access/Repeat, and is still its set's front
 	for step := 0; step+3 <= len(ops); step += 3 {
 		op, region, low := ops[step]%16, ops[step+1]%8, uint64(ops[step+2])
 		var tag uint64
@@ -138,32 +140,26 @@ func runVsReference(t testing.TB, c *Cache, r *refLRU, ops []byte) {
 			tag = low
 		}
 		if !r.inDomain(tag) && op < 11 {
-			tag = low // Access, AccessIndexed and Repeat take in-domain tags only
+			tag = low // Access and Repeat take in-domain tags only
 		}
 		fail := func(what string, got, want any) {
 			t.Helper()
 			t.Fatalf("step %d: op %d tag %#x (%d sets x %d ways): %s = %v, reference %v",
 				step/3, op, tag, r.sets, r.ways, what, got, want)
 		}
+		set := r.setOf(tag)
 		switch {
-		case op < 5:
-			hit := c.Access(tag)
-			if wantHit, _ := r.access(tag); hit != wantHit {
-				fail("Access hit", hit, wantHit)
-			}
-			repeatable = false
 		case op < 8 || (op < 11 && !repeatable):
-			hit, idx := c.AccessIndexed(tag)
-			wantHit, wantIdx := r.access(tag)
-			if hit != wantHit || idx != wantIdx {
-				fail("AccessIndexed (hit, idx)", [2]any{hit, idx}, [2]any{wantHit, wantIdx})
+			if hit, want := c.Access(tag), r.access(tag); hit != want {
+				fail("Access hit", hit, want)
 			}
-			lastTag, lastIdx, repeatable = tag, idx, true
+			lastTag, repeatable = tag, true
 		case op < 11:
-			c.Repeat(lastIdx)
-			if hit, idx := r.access(lastTag); !hit || idx != lastIdx {
-				fail("reference under Repeat (hit, idx)", [2]any{true, lastIdx}, [2]any{hit, idx})
+			c.Repeat()
+			if !r.access(lastTag) {
+				fail("reference hit under Repeat", false, true)
 			}
+			set = r.setOf(lastTag)
 		case op < 13:
 			if got, want := c.Contains(tag), r.contains(tag); got != want {
 				fail("Contains", got, want)
@@ -177,26 +173,25 @@ func runVsReference(t testing.TB, c *Cache, r *refLRU, ops []byte) {
 			c.Flush()
 			r.flush()
 			repeatable = false
+			for s := range r.sets {
+				if !sameOrder(s) {
+					fail("order after Flush", c.order(s), r.order(s))
+				}
+			}
 		default:
 			c.ResetStats()
 			r.accesses, r.misses = 0, 0
+		}
+		if !sameOrder(set) {
+			fail("order", c.order(set), r.order(set))
 		}
 		if acc, miss := c.Stats(); acc != r.accesses || miss != r.misses {
 			fail("Stats", [2]uint64{acc, miss}, [2]uint64{r.accesses, r.misses})
 		}
 	}
-	resident := 0
-	for _, e := range c.entries {
-		if e.stamp != 0 {
-			resident++
-		}
-	}
-	if resident != len(r.where) {
-		t.Fatalf("%d resident ways, reference holds %d tags", resident, len(r.where))
-	}
-	for tag := range r.where {
-		if !c.Contains(tag) {
-			t.Fatalf("reference tag %#x not resident", tag)
+	for s := range r.sets {
+		if !sameOrder(s) {
+			t.Fatalf("set %d: order %v, reference %v", s, c.order(s), r.order(s))
 		}
 	}
 }
@@ -206,24 +201,6 @@ func runVsReference(t testing.TB, c *Cache, r *refLRU, ops []byte) {
 func TestCacheMatchesReference(t *testing.T) {
 	for i, g := range refGeometries {
 		runVsReference(t, New(g.entries, g.ways), newRefLRU(g.entries, g.ways), randomOps(int64(i), 30000))
-	}
-}
-
-// TestStampClockWrap sets the 32-bit stamp clock just below its wrap and
-// keeps a warm cache running through the renumbering, so the wrap lands on
-// each operation kind in turn: every decision must still match the
-// reference, and the clock must have restarted.
-func TestStampClockWrap(t *testing.T) {
-	for i, g := range refGeometries {
-		for _, left := range []uint32{0, 1, 2, 5, 50} {
-			c, r := New(g.entries, g.ways), newRefLRU(g.entries, g.ways)
-			runVsReference(t, c, r, randomOps(int64(i), 3000))
-			c.tick = math.MaxUint32 - left
-			runVsReference(t, c, r, randomOps(int64(i)+1000, 3000))
-			if c.tick > math.MaxUint32-left {
-				t.Fatalf("%d sets x %d ways: clock %d never renumbered", r.sets, r.ways, c.tick)
-			}
-		}
 	}
 }
 

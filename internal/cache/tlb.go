@@ -34,14 +34,13 @@ func (t *TLB) Access(vpn uint64, huge bool) bool {
 	return t.small.Access(vpn)
 }
 
-// TLBRef is a repeatable-translation handle returned by AccessIndexed: it
-// pins the cache array and entry index that served a lookup, so immediately
-// repeated lookups of the same translation (consecutive lines of one page)
-// can skip the set scan. A zero ref (nil cache) stands for the
-// "no 2MiB array" miss path, where repeats also miss without state changes.
+// TLBRef is a repeatable-translation handle returned by AccessRef: it pins
+// the cache array that served a lookup, so immediately repeated lookups of
+// the same translation (consecutive lines of one page) can skip the set
+// scan. A zero ref (nil cache) stands for the "no 2MiB array" miss path,
+// where repeats also miss without state changes.
 type TLBRef struct {
-	c   *Cache
-	idx int32
+	c *Cache
 }
 
 // Repeat re-touches the translation: state-identical to the Access call
@@ -52,23 +51,21 @@ func (r TLBRef) Repeat() bool {
 	if r.c == nil {
 		return false
 	}
-	r.c.Repeat(int(r.idx))
+	r.c.Repeat()
 	return true
 }
 
-// AccessIndexed performs Access(vpn, huge) and returns a TLBRef for
-// repeated lookups of the same translation. After a miss the ref points at
-// the freshly inserted entry, so repeats are hits either way.
-func (t *TLB) AccessIndexed(vpn uint64, huge bool) (bool, TLBRef) {
+// AccessRef performs Access(vpn, huge) and returns a TLBRef for repeated
+// lookups of the same translation. The lookup leaves the translation most
+// recent, hit or miss, so repeats are hits either way.
+func (t *TLB) AccessRef(vpn uint64, huge bool) (bool, TLBRef) {
 	if huge {
 		if t.huge == nil {
 			return false, TLBRef{}
 		}
-		hit, idx := t.huge.AccessIndexed(vpn >> 9)
-		return hit, TLBRef{c: t.huge, idx: int32(idx)}
+		return t.huge.Access(vpn >> 9), TLBRef{t.huge}
 	}
-	hit, idx := t.small.AccessIndexed(vpn)
-	return hit, TLBRef{c: t.small, idx: int32(idx)}
+	return t.small.Access(vpn), TLBRef{t.small}
 }
 
 // Flush drops all cached translations (context switch / migration).

@@ -358,7 +358,6 @@ func (t *Thread) accessRun(addr, elem, stride uint64, count int, write bool) {
 	var (
 		haveLine bool
 		lastTag  uint64
-		lastIdx  int
 	)
 
 	for i := 0; i < count; i++ {
@@ -414,7 +413,7 @@ func (t *Thread) accessRun(addr, elem, stride uint64, count int, write bool) {
 					}
 				}
 				var hit bool
-				hit, ref = t.tlb.AccessIndexed(vpn, f.Huge)
+				hit, ref = t.tlb.AccessRef(vpn, f.Huge)
 				if !hit {
 					t.counters.TLBMisses++
 					if f.Huge {
@@ -436,12 +435,11 @@ func (t *Thread) accessRun(addr, elem, stride uint64, count int, write bool) {
 			lineTag := a >> m.lineShift
 			l1Hit := false
 			if haveLine && lineTag == lastTag {
-				t.l1.Repeat(lastIdx)
+				t.l1.Repeat()
 				l1Hit = true
 			} else {
-				var idx int
-				l1Hit, idx = t.l1.AccessIndexed(lineTag)
-				haveLine, lastTag, lastIdx = true, lineTag, idx
+				l1Hit = t.l1.Access(lineTag)
+				haveLine, lastTag = true, lineTag
 			}
 			if l1Hit {
 				// L1 hit: the line is already owned or shared by this core.

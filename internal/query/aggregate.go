@@ -2,7 +2,7 @@ package query
 
 import (
 	"math"
-	"sort"
+	"slices"
 
 	"repro/internal/datagen"
 	"repro/internal/hashtable"
@@ -49,27 +49,44 @@ type AggregationSpec struct {
 // holistic aggregation implementation.
 const tupleBytes = 16
 
-// group is the per-group aggregate state.
+// group is the per-group aggregate state, held by value in one slice.
 type group struct {
-	creator   int    // thread that created the group (median-pass owner)
-	countAddr uint64 // W2: 8-byte counter in simulated memory
-	count     uint64
-	// W1: each input tuple is buffered in its own allocation; the median
-	// pass walks, reads and frees them. This is what makes W1 the paper's
-	// allocation-heavy aggregation.
-	tupleAddrs []uint64
-	vals       []uint64
+	creator int32 // thread that created the group (median-pass owner)
+	// W1: the group's chain of buffered tuples (first and last arena
+	// index) and its length.
+	head, tail, n int32
+	countAddr     uint64 // W2: 8-byte counter in simulated memory
+	count         uint64
+}
+
+// tuple is one buffered W1 input tuple: its simulated allocation, its
+// value, its group, and the next tuple of that group's chain. Each input
+// tuple is buffered in its own allocation and the median pass walks, reads
+// and frees them; this is what makes W1 the paper's allocation-heavy
+// aggregation.
+type tuple struct {
+	addr, val uint64
+	gi, next  int32
 }
 
 // Aggregate executes the hashtable-based aggregation workload and returns
 // the timed result (build plus, for W1, the per-group median pass).
+//
+// Every Read, Write, Malloc, Free and Charge may yield to another
+// simulated thread, which may then create groups or chain tuples. So the
+// body re-indexes groups and tuples after each such call and never holds a
+// pointer into either slice across one.
 func Aggregate(m *machine.Machine, spec AggregationSpec) Outcome {
 	dataAddr, setup := LoadRecords(m, spec.Records)
 	m.ResetCounters()
 
 	threads := m.Config().Threads
 	var table *hashtable.Table
-	groups := make([]*group, 0, spec.Cardinality)
+	groups := make([]group, 0, spec.Cardinality)
+	var tuples []tuple
+	if spec.Holistic {
+		tuples = make([]tuple, 0, len(spec.Records))
+	}
 
 	// The shared table is created by the first worker, as in the paper's
 	// codelets; sizing at twice the cardinality keeps chains short.
@@ -79,6 +96,7 @@ func Aggregate(m *machine.Machine, spec AggregationSpec) Outcome {
 		}
 	})
 	buildAndFinalize := m.Run(threads, func(t *machine.Thread) {
+		id := int32(t.ID())
 		n := len(spec.Records)
 		lo := n * t.ID() / threads
 		hi := n * (t.ID() + 1) / threads
@@ -86,26 +104,34 @@ func Aggregate(m *machine.Machine, spec AggregationSpec) Outcome {
 			rec := spec.Records[i]
 			t.Read(dataAddr+uint64(i)*recordBytes, recordBytes)
 			gi, _ := table.GetOrPut(t, rec.Key, func() uint32 {
-				g := &group{creator: t.ID()}
+				g := group{creator: id}
 				if !spec.Holistic {
 					g.countAddr = t.Malloc(8)
 				}
 				groups = append(groups, g)
 				return uint32(len(groups) - 1)
 			})
-			g := groups[gi]
 			t.Charge(25) // per-group latch
 			if spec.Holistic {
 				// Buffer the tuple for the median: one allocation per
-				// input record.
+				// input record, chained at the group's tail.
 				addr := t.Malloc(tupleBytes)
-				g.tupleAddrs = append(g.tupleAddrs, addr)
-				g.vals = append(g.vals, rec.Val)
+				ti := int32(len(tuples))
+				tuples = append(tuples, tuple{addr: addr, val: rec.Val, gi: int32(gi), next: -1})
+				g := &groups[gi]
+				if g.n == 0 {
+					g.head = ti
+				} else {
+					tuples[g.tail].next = ti
+				}
+				g.tail = ti
+				g.n++
 				t.Write(addr, tupleBytes)
 			} else {
-				t.Read(g.countAddr, 8)
-				t.Write(g.countAddr, 8)
-				g.count++
+				countAddr := groups[gi].countAddr
+				t.Read(countAddr, 8)
+				t.Write(countAddr, 8)
+				groups[gi].count++
 			}
 		}
 		if spec.Holistic {
@@ -113,21 +139,23 @@ func Aggregate(m *machine.Machine, spec AggregationSpec) Outcome {
 			// created. Under the moving-cluster input a group's tuples
 			// were almost all buffered by their creator, so the pass is
 			// local under First Touch — the paper's high measured LAR.
+			// Other threads may still be chaining tuples onto a group
+			// here: each walk covers the tuples chained when it starts.
 			for gi := range groups {
-				g := groups[gi]
-				if g.creator != t.ID() {
+				if groups[gi].creator != id || groups[gi].n == 0 {
 					continue
 				}
-				if len(g.tupleAddrs) == 0 {
-					continue
+				for ti, k := groups[gi].head, groups[gi].n; k > 0; k-- {
+					tu := tuples[ti]
+					t.Read(tu.addr, tupleBytes)
+					ti = tu.next
 				}
-				for _, addr := range g.tupleAddrs {
-					t.Read(addr, tupleBytes)
-				}
-				n := float64(len(g.tupleAddrs))
+				n := float64(groups[gi].n)
 				t.Charge(12 * n * math.Log2(n+1)) // in-place sort
-				for _, addr := range g.tupleAddrs {
-					t.Free(addr, tupleBytes)
+				for ti, k := groups[gi].head, groups[gi].n; k > 0; k-- {
+					tu := tuples[ti]
+					t.Free(tu.addr, tupleBytes)
+					ti = tu.next
 				}
 			}
 		}
@@ -140,14 +168,39 @@ func Aggregate(m *machine.Machine, spec AggregationSpec) Outcome {
 		// orphans from lost upsert races.
 		Groups: table.Len(),
 	}
-	for _, g := range groups {
-		if spec.Holistic {
-			out.Checksum += medianOf(g.vals)
-		} else {
+	if spec.Holistic {
+		out.Checksum = medianSum(groups, tuples)
+	} else {
+		for _, g := range groups {
 			out.Checksum += g.count
 		}
 	}
 	return out
+}
+
+// medianSum returns the sum of every group's median value. One counting
+// sort lays the values out group by group; each group's run is then
+// sorted on its own.
+func medianSum(groups []group, tuples []tuple) uint64 {
+	end := make([]int32, len(groups))
+	var off int32
+	for gi, g := range groups {
+		off += g.n
+		end[gi] = off
+	}
+	// Fill each run from its end: afterwards end[gi] is the run's start.
+	vals := make([]uint64, len(tuples))
+	for i := len(tuples) - 1; i >= 0; i-- {
+		tu := tuples[i]
+		end[tu.gi]--
+		vals[end[tu.gi]] = tu.val
+	}
+	var sum uint64
+	for gi, g := range groups {
+		start := end[gi]
+		sum += sortedMedian(vals[start : start+g.n])
+	}
+	return sum
 }
 
 // combine merges two phases of one measurement: wall times add (the phases
@@ -158,14 +211,16 @@ func combine(a, b machine.Result) machine.Result {
 }
 
 // medianOf returns the median (lower middle) of vals, used for checksums.
-func medianOf(vals []uint64) uint64 {
+func medianOf(vals []uint64) uint64 { return sortedMedian(slices.Clone(vals)) }
+
+// sortedMedian sorts vals in place and returns its lower middle element,
+// or 0 if vals is empty.
+func sortedMedian(vals []uint64) uint64 {
 	if len(vals) == 0 {
 		return 0
 	}
-	s := make([]uint64, len(vals))
-	copy(s, vals)
-	sort.Slice(s, func(i, j int) bool { return s[i] < s[j] })
-	return s[(len(s)-1)/2]
+	slices.Sort(vals)
+	return vals[(len(vals)-1)/2]
 }
 
 // ReferenceAggregate computes the same aggregate in plain Go, for tests.

@@ -224,3 +224,49 @@ func TestUnknownKindPanics(t *testing.T) {
 	}()
 	New("R-tree")
 }
+
+func TestSkipListTowerInvariant(t *testing.T) {
+	// The host layout caches each link's target key and address in the
+	// tower that points at it; both must always equal the target's own.
+	// Level i must also chain, in key order, exactly the nodes taller
+	// than i.
+	run1(t, func(th *machine.Thread) {
+		s := newSkipList()
+		r := xrand.New(6)
+		for _, k := range r.Perm(3000) {
+			s.Insert(th, uint64(k)*7, uint64(k))
+		}
+		s.Insert(th, 14, 99) // overwrite keeps every link
+		for lvl := 0; lvl < s.maxLevel; lvl++ {
+			want := 0
+			for _, n := range s.nodes {
+				if int(n.height) > lvl {
+					want++
+				}
+			}
+			got := 0
+			var prev uint64
+			for l := s.links[lvl]; l.to >= 0; l = s.links[l.to+int32(lvl)] {
+				n := s.nodes[l.node]
+				if l.key != n.key || l.addr != n.addr || l.to != n.tower {
+					t.Fatalf("level %d link {key %d addr %#x tower %d} disagrees with its node {key %d addr %#x tower %d}",
+						lvl, l.key, l.addr, l.to, n.key, n.addr, n.tower)
+				}
+				if int(n.height) <= lvl {
+					t.Fatalf("level %d links to node %d of height %d", lvl, l.node, n.height)
+				}
+				if got > 0 && l.key <= prev {
+					t.Fatalf("level %d out of order: %d after %d", lvl, l.key, prev)
+				}
+				prev = l.key
+				got++
+			}
+			if got != want {
+				t.Fatalf("level %d chains %d nodes, want %d", lvl, got, want)
+			}
+		}
+		if v, ok := s.Lookup(th, 14); !ok || v != 99 {
+			t.Fatalf("Lookup(14) = %d,%v after overwrite, want 99,true", v, ok)
+		}
+	})
+}

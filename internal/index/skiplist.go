@@ -10,34 +10,51 @@ import (
 // chase to a node allocated at insert time, so lookups scatter across the
 // heap — the poor locality that keeps the skip list the slowest index in
 // Figure 7e despite its simplicity.
+//
+// On the host the nodes live in flat arenas. Each tower is one run of
+// links, and a link caches its target's key and simulated address, so a
+// search step reads only the current tower.
 type skiplist struct {
 	maxLevel int
-	head     *slNode // sentinel with maxLevel forwards
-	level    int
-	n        int
-	rng      *xrand.Rand
+	// links holds every tower back to back, level 0 first. The head
+	// sentinel's tower is links[:maxLevel].
+	links []slLink
+	nodes []slNode
+	level int
+	rng   *xrand.Rand
 }
 
+// slLink is one forward pointer of a tower.
+type slLink struct {
+	key, addr uint64 // the target node's key and simulated address
+	to        int32  // the target's tower (index into links); -1 is nil
+	node      int32  // the target's index into nodes
+}
+
+// slNode is a node's own record; its forward pointers are its tower.
 type slNode struct {
-	key, val uint64
-	addr     uint64
-	size     uint64
-	next     []*slNode
+	key, val, addr uint64
+	tower          int32 // index of the node's level-0 link
+	height         int32
 }
 
 const slMaxLevel = 24
 
 func newSkipList() *skiplist {
-	return &skiplist{
+	s := &skiplist{
 		maxLevel: slMaxLevel,
-		head:     &slNode{next: make([]*slNode, slMaxLevel)},
+		links:    make([]slLink, slMaxLevel),
 		level:    1,
 		rng:      xrand.New(0x5b1f),
 	}
+	for i := range s.links {
+		s.links[i].to = -1
+	}
+	return s
 }
 
 func (s *skiplist) Name() string { return "Skip List" }
-func (s *skiplist) Len() int     { return s.n }
+func (s *skiplist) Len() int     { return len(s.nodes) }
 
 // nodeBytes is the simulated size of a node with the given tower height:
 // key, value, and one forward pointer per level.
@@ -52,59 +69,63 @@ func (s *skiplist) randomLevel() int {
 	return l
 }
 
+// slPred is a search's predecessor at one level: its tower and simulated
+// address. The zero value is the head sentinel.
+type slPred struct {
+	tower int32
+	addr  uint64
+}
+
 func (s *skiplist) Insert(t *machine.Thread, key, val uint64) {
-	update := make([]*slNode, s.maxLevel)
-	x := s.head
+	var update [slMaxLevel]slPred
+	var x slPred
 	for i := s.level - 1; i >= 0; i-- {
-		for x.next[i] != nil && x.next[i].key < key {
-			x = x.next[i]
+		for l := s.links[x.tower+int32(i)]; l.to >= 0 && l.key < key; l = s.links[x.tower+int32(i)] {
+			x = slPred{l.to, l.addr}
 			t.Read(x.addr, 24) // key + level-i forward pointer
 			t.Charge(2)
 		}
 		update[i] = x
 	}
-	if nxt := x.next[0]; nxt != nil && nxt.key == key {
-		nxt.val = val
-		t.Write(nxt.addr, 8)
+	if l := s.links[x.tower]; l.to >= 0 && l.key == key {
+		s.nodes[l.node].val = val
+		t.Write(l.addr, 8)
 		return
 	}
 	lvl := s.randomLevel()
 	if lvl > s.level {
-		for i := s.level; i < lvl; i++ {
-			update[i] = s.head
-		}
-		s.level = lvl
+		s.level = lvl // update[i] for the new levels is already the head
 	}
-	node := &slNode{key: key, val: val, size: slNodeBytes(lvl), next: make([]*slNode, lvl)}
-	node.addr = t.Malloc(node.size)
+	size := slNodeBytes(lvl)
+	addr := t.Malloc(size)
+	self := slLink{key: key, addr: addr, to: int32(len(s.links)), node: int32(len(s.nodes))}
+	s.nodes = append(s.nodes, slNode{key: key, val: val, addr: addr, tower: self.to, height: int32(lvl)})
 	for i := 0; i < lvl; i++ {
-		node.next[i] = update[i].next[i]
-		update[i].next[i] = node
+		s.links = append(s.links, s.links[update[i].tower+int32(i)])
+		s.links[update[i].tower+int32(i)] = self
 	}
-	t.Write(node.addr, node.size)
+	t.Write(addr, size)
 	for i := 0; i < lvl; i++ {
-		if update[i] != s.head {
+		if update[i].tower != 0 {
 			t.Write(update[i].addr, 8)
 		}
 	}
-	s.n++
 }
 
 func (s *skiplist) Lookup(t *machine.Thread, key uint64) (uint64, bool) {
-	x := s.head
+	var x int32 // the current node's tower; the head's is 0
 	for i := s.level - 1; i >= 0; i-- {
-		for x.next[i] != nil && x.next[i].key < key {
-			x = x.next[i]
-			t.Read(x.addr, 24)
+		for l := s.links[x+int32(i)]; l.to >= 0 && l.key < key; l = s.links[x+int32(i)] {
+			x = l.to
+			t.Read(l.addr, 24)
 			t.Charge(2)
 		}
 	}
-	x = x.next[0]
-	if x != nil {
-		t.Read(x.addr, 24)
+	if l := s.links[x]; l.to >= 0 {
+		t.Read(l.addr, 24)
 		t.Charge(2)
-		if x.key == key {
-			return x.val, true
+		if l.key == key {
+			return s.nodes[l.node].val, true
 		}
 	}
 	return 0, false

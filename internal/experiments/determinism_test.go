@@ -333,6 +333,14 @@ func TestReadJSONLAcceptsV1(t *testing.T) {
 	if _, err := ReadJSONL(strings.NewReader(bad)); err == nil {
 		t.Fatal("unknown schema accepted")
 	}
+	// A line holds exactly one record: a second value or stray text after
+	// it is an error, not silently dropped.
+	line := strings.TrimSuffix(v1, "\n")
+	for _, trailing := range []string{line, " x", "}"} {
+		if _, err := ReadJSONL(strings.NewReader(line + trailing + "\n")); err == nil {
+			t.Fatalf("line with trailing %q accepted", trailing)
+		}
+	}
 }
 
 // TestJSONLRoundTrip pushes real records through the writer and the

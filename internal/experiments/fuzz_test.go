@@ -34,6 +34,8 @@ func FuzzReadJSONL(f *testing.F) {
 	f.Add([]byte(v2 + "\n\n" + v1 + "\n"))
 	f.Add([]byte(strings.Replace(v1, "repro/bench/v1", "repro/bench/v0", 1)))
 	f.Add([]byte(strings.Replace(v2, `"cell":"c1"`, `"cell":""`, 1)))
+	f.Add([]byte(v1 + v1 + "\n"))
+	f.Add([]byte(v1 + " x\n"))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		recs, err := ReadJSONL(bytes.NewReader(data))
 		if err != nil {

@@ -222,8 +222,9 @@ func WriteJSONL(w io.Writer, recs []Record) error {
 }
 
 // ReadJSONL parses newline-delimited records, rejecting unknown fields,
-// wrong schemas, and records with no experiment or cell id — the strict
-// complement of WriteJSONL, so a round-trip validates the schema.
+// wrong schemas, records with no experiment or cell id, and anything after
+// a line's record — the strict complement of WriteJSONL, so a round-trip
+// validates the schema.
 func ReadJSONL(r io.Reader) ([]Record, error) {
 	var recs []Record
 	sc := bufio.NewScanner(r)
@@ -240,6 +241,9 @@ func ReadJSONL(r io.Reader) ([]Record, error) {
 		var rec Record
 		if err := dec.Decode(&rec); err != nil {
 			return nil, fmt.Errorf("line %d: %w", line, err)
+		}
+		if dec.InputOffset() != int64(len(b)) {
+			return nil, fmt.Errorf("line %d: trailing data after the record", line)
 		}
 		if rec.Schema != SchemaVersion && rec.Schema != SchemaV1 {
 			return nil, fmt.Errorf("line %d: schema %q, want %q or %q",

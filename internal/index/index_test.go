@@ -237,10 +237,17 @@ func TestSkipListTowerInvariant(t *testing.T) {
 			s.Insert(th, uint64(k)*7, uint64(k))
 		}
 		s.Insert(th, 14, 99) // overwrite keeps every link
+		height := func(node int32) int {
+			end := len(s.links)
+			if int(node)+1 < len(s.nodes) {
+				end = int(s.nodes[node+1].tower)
+			}
+			return end - int(s.nodes[node].tower)
+		}
 		for lvl := 0; lvl < s.maxLevel; lvl++ {
 			want := 0
-			for _, n := range s.nodes {
-				if int(n.height) > lvl {
+			for i := range s.nodes {
+				if height(int32(i)) > lvl {
 					want++
 				}
 			}
@@ -252,8 +259,8 @@ func TestSkipListTowerInvariant(t *testing.T) {
 					t.Fatalf("level %d link {key %d addr %#x tower %d} disagrees with its node {key %d addr %#x tower %d}",
 						lvl, l.key, l.addr, l.to, n.key, n.addr, n.tower)
 				}
-				if int(n.height) <= lvl {
-					t.Fatalf("level %d links to node %d of height %d", lvl, l.node, n.height)
+				if height(l.node) <= lvl {
+					t.Fatalf("level %d links to node %d of height %d", lvl, l.node, height(l.node))
 				}
 				if got > 0 && l.key <= prev {
 					t.Fatalf("level %d out of order: %d after %d", lvl, l.key, prev)

@@ -31,11 +31,12 @@ type slLink struct {
 	node      int32  // the target's index into nodes
 }
 
-// slNode is a node's own record; its forward pointers are its tower.
+// slNode is a node's own record, the source its incoming links copy key
+// and addr from. Towers are appended in node order, so a node's tower runs
+// up to the next node's.
 type slNode struct {
 	key, val, addr uint64
 	tower          int32 // index of the node's level-0 link
-	height         int32
 }
 
 const slMaxLevel = 24
@@ -99,7 +100,7 @@ func (s *skiplist) Insert(t *machine.Thread, key, val uint64) {
 	size := slNodeBytes(lvl)
 	addr := t.Malloc(size)
 	self := slLink{key: key, addr: addr, to: int32(len(s.links)), node: int32(len(s.nodes))}
-	s.nodes = append(s.nodes, slNode{key: key, val: val, addr: addr, tower: self.to, height: int32(lvl)})
+	s.nodes = append(s.nodes, slNode{key: key, val: val, addr: addr, tower: self.to})
 	for i := 0; i < lvl; i++ {
 		s.links = append(s.links, s.links[update[i].tower+int32(i)])
 		s.links[update[i].tower+int32(i)] = self

@@ -189,16 +189,16 @@ func medianSum(groups []group, tuples []tuple) uint64 {
 		end[gi] = off
 	}
 	// Fill each run from its end: afterwards end[gi] is the run's start.
-	vals := make([]uint64, len(tuples))
+	byGroup := make([]uint64, len(tuples))
 	for i := len(tuples) - 1; i >= 0; i-- {
 		tu := tuples[i]
 		end[tu.gi]--
-		vals[end[tu.gi]] = tu.val
+		byGroup[end[tu.gi]] = tu.val
 	}
 	var sum uint64
 	for gi, g := range groups {
 		start := end[gi]
-		sum += sortedMedian(vals[start : start+g.n])
+		sum += sortedMedian(byGroup[start : start+g.n])
 	}
 	return sum
 }

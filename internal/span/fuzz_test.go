@@ -18,6 +18,8 @@ func FuzzReadJSONL(f *testing.F) {
 	f.Add([]byte(good + "\n"))
 	f.Add([]byte(strings.Replace(good, `"end":10`, `"end":-1`, 1)))
 	f.Add([]byte(strings.Replace(good, `"kind":"request"`, `"kind":"mystery"`, 1)))
+	f.Add([]byte(good + good + "\n"))
+	f.Add([]byte(good + " x\n"))
 	var buf bytes.Buffer
 	if err := WriteJSONL(&buf, sampleSpans()); err != nil {
 		f.Fatal(err)

@@ -110,8 +110,8 @@ var validKinds = map[string]bool{
 }
 
 // ReadJSONL parses newline-delimited spans, rejecting unknown fields,
-// wrong schemas, unknown kinds and spans without an id — the strict
-// complement of WriteJSONL.
+// wrong schemas, unknown kinds, spans without an id and anything after a
+// line's span — the strict complement of WriteJSONL.
 func ReadJSONL(r io.Reader) ([]Span, error) {
 	var spans []Span
 	sc := bufio.NewScanner(r)
@@ -128,6 +128,9 @@ func ReadJSONL(r io.Reader) ([]Span, error) {
 		var s Span
 		if err := dec.Decode(&s); err != nil {
 			return nil, fmt.Errorf("line %d: %w", line, err)
+		}
+		if dec.InputOffset() != int64(len(b)) {
+			return nil, fmt.Errorf("line %d: trailing data after the span", line)
 		}
 		if s.Schema != Schema {
 			return nil, fmt.Errorf("line %d: schema %q, want %q", line, s.Schema, Schema)

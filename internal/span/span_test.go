@@ -80,6 +80,8 @@ func TestStrictReader(t *testing.T) {
 		"unknown kind":  strings.Replace(good, `"kind":"request"`, `"kind":"mystery"`, 1),
 		"end < start":   strings.Replace(good, `"end":10`, `"end":-1`, 1),
 		"unknown field": strings.Replace(good, `"seq":0`, `"seq":0,"bogus":1`, 1),
+		"two spans":     good + good,
+		"trailing junk": good + " x",
 	}
 	if _, err := ReadJSONL(strings.NewReader(good + "\n")); err != nil {
 		t.Fatalf("valid span rejected: %v", err)

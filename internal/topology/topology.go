@@ -11,8 +11,14 @@ package topology
 
 import (
 	"fmt"
+	"math"
 	"strings"
 )
+
+// MaxNodes is the largest node count New accepts. The simulator stores a
+// page's node in an int8 and packs node+1 into eight bits of its
+// last-writer directory, so a larger topology would corrupt both.
+const MaxNodes = 127
 
 // NodeID identifies a NUMA node within a topology.
 type NodeID int
@@ -32,30 +38,36 @@ type Topology struct {
 type Config struct {
 	// Name is a human-readable label, e.g. "Machine A".
 	Name string
-	// Nodes is the number of NUMA nodes; must be >= 1.
+	// Nodes is the number of NUMA nodes, from 1 to MaxNodes.
 	Nodes int
 	// Links lists undirected interconnect links as node pairs.
 	Links [][2]int
 	// HopLatency maps hop count -> relative memory latency. Index 0 is
-	// local access latency and must be 1.0. The table must cover the
-	// topology's diameter.
+	// local access latency and must be 1.0; every entry must be finite and
+	// positive. The table must cover the topology's diameter.
 	HopLatency []float64
 	// LinkBandwidthGTs is the per-link interconnect bandwidth in
-	// gigatransfers per second (Table II "Interconnect Bandwidth").
+	// gigatransfers per second (Table II "Interconnect Bandwidth"); it
+	// must be finite and positive.
 	LinkBandwidthGTs float64
 }
 
 // New validates cfg and builds a Topology, computing hop distances by BFS
 // and latencies from the hop-latency table.
 func New(cfg Config) (*Topology, error) {
-	if cfg.Nodes < 1 {
-		return nil, fmt.Errorf("topology %q: need at least one node, got %d", cfg.Name, cfg.Nodes)
+	if cfg.Nodes < 1 || cfg.Nodes > MaxNodes {
+		return nil, fmt.Errorf("topology %q: need 1 to %d nodes, got %d", cfg.Name, MaxNodes, cfg.Nodes)
 	}
 	if len(cfg.HopLatency) == 0 || cfg.HopLatency[0] != 1.0 {
 		return nil, fmt.Errorf("topology %q: HopLatency[0] must be 1.0 (local access)", cfg.Name)
 	}
-	if cfg.LinkBandwidthGTs <= 0 {
-		return nil, fmt.Errorf("topology %q: link bandwidth must be positive", cfg.Name)
+	for h, l := range cfg.HopLatency {
+		if !finitePositive(l) {
+			return nil, fmt.Errorf("topology %q: HopLatency[%d] = %v, must be finite and positive", cfg.Name, h, l)
+		}
+	}
+	if !finitePositive(cfg.LinkBandwidthGTs) {
+		return nil, fmt.Errorf("topology %q: link bandwidth %v GT/s, must be finite and positive", cfg.Name, cfg.LinkBandwidthGTs)
 	}
 	t := &Topology{
 		name:      cfg.Name,
@@ -96,6 +108,10 @@ func New(cfg Config) (*Topology, error) {
 	}
 	return t, nil
 }
+
+// finitePositive reports whether x is a positive real number (not NaN, not
+// infinite).
+func finitePositive(x float64) bool { return x > 0 && !math.IsInf(x, 1) }
 
 // MustNew is New but panics on error; intended for the package presets and
 // tests with known-good configurations.

@@ -1,6 +1,7 @@
 package topology
 
 import (
+	"math"
 	"testing"
 	"testing/quick"
 )
@@ -147,11 +148,46 @@ func TestNewValidation(t *testing.T) {
 		{"out of range link", Config{Name: "x", Nodes: 2, Links: [][2]int{{0, 5}}, HopLatency: []float64{1, 1.5}, LinkBandwidthGTs: 1}},
 		{"disconnected", Config{Name: "x", Nodes: 3, Links: [][2]int{{0, 1}}, HopLatency: []float64{1, 1.5}, LinkBandwidthGTs: 1}},
 		{"latency table too short", Config{Name: "x", Nodes: 3, Links: [][2]int{{0, 1}, {1, 2}}, HopLatency: []float64{1, 1.5}, LinkBandwidthGTs: 1}},
+		{"too many nodes", Config{Name: "x", Nodes: MaxNodes + 1, Links: chain(MaxNodes + 1), HopLatency: ramp(MaxNodes + 1), LinkBandwidthGTs: 1}},
+		{"NaN bandwidth", Config{Name: "x", Nodes: 1, HopLatency: []float64{1}, LinkBandwidthGTs: math.NaN()}},
+		{"infinite bandwidth", Config{Name: "x", Nodes: 1, HopLatency: []float64{1}, LinkBandwidthGTs: math.Inf(1)}},
+		{"NaN hop latency", Config{Name: "x", Nodes: 2, Links: [][2]int{{0, 1}}, HopLatency: []float64{1, math.NaN()}, LinkBandwidthGTs: 1}},
+		{"infinite hop latency", Config{Name: "x", Nodes: 2, Links: [][2]int{{0, 1}}, HopLatency: []float64{1, math.Inf(1)}, LinkBandwidthGTs: 1}},
+		{"zero hop latency", Config{Name: "x", Nodes: 2, Links: [][2]int{{0, 1}}, HopLatency: []float64{1, 0}, LinkBandwidthGTs: 1}},
+		{"negative unused hop latency", Config{Name: "x", Nodes: 1, HopLatency: []float64{1, -1}, LinkBandwidthGTs: 1}},
 	}
 	for _, tc := range cases {
 		if _, err := New(tc.cfg); err == nil {
 			t.Errorf("%s: expected error", tc.name)
 		}
+	}
+}
+
+// chain links n nodes in a line, so its diameter is n-1.
+func chain(n int) [][2]int {
+	links := make([][2]int, n-1)
+	for i := range links {
+		links[i] = [2]int{i, i + 1}
+	}
+	return links
+}
+
+// ramp is a hop-latency table for n nodes: local 1.0, rising with hops.
+func ramp(n int) []float64 {
+	lat := make([]float64, n)
+	for h := range lat {
+		lat[h] = 1 + 0.1*float64(h)
+	}
+	return lat
+}
+
+func TestMaxNodesAccepted(t *testing.T) {
+	top, err := New(Config{Name: "line", Nodes: MaxNodes, Links: chain(MaxNodes), HopLatency: ramp(MaxNodes), LinkBandwidthGTs: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if top.Diameter() != MaxNodes-1 {
+		t.Errorf("diameter = %d, want %d", top.Diameter(), MaxNodes-1)
 	}
 }
 

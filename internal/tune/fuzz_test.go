@@ -31,6 +31,8 @@ func FuzzReadJSONL(f *testing.F) {
 	f.Add([]byte(strings.Replace(goldenRecord, "repro/tune/v1", "repro/tune/v0", 1)))
 	f.Add([]byte(strings.Replace(goldenRecord, `"placement":"None"`, `"placement":"Diagonal"`, 1)))
 	f.Add([]byte(strings.Replace(goldenRecord, `"autonuma":"off"`, `"autonuma":"maybe"`, 1)))
+	f.Add([]byte(goldenRecord + goldenRecord + "\n"))
+	f.Add([]byte(goldenRecord + " x\n"))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		recs, err := ReadJSONL(bytes.NewReader(data))
 		if err != nil {

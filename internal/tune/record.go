@@ -144,8 +144,9 @@ func WriteJSONL(w io.Writer, recs []Record) error {
 }
 
 // ReadJSONL parses newline-delimited campaign records, rejecting unknown
-// fields, wrong schemas, and records missing their campaign or point
-// identity — the strict complement of WriteJSONL.
+// fields, wrong schemas, records missing their campaign or point identity,
+// and anything after a line's record — the strict complement of
+// WriteJSONL.
 func ReadJSONL(r io.Reader) ([]Record, error) {
 	var recs []Record
 	sc := bufio.NewScanner(r)
@@ -175,6 +176,9 @@ func parseRecord(b []byte) (Record, error) {
 	var rec Record
 	if err := dec.Decode(&rec); err != nil {
 		return Record{}, err
+	}
+	if dec.InputOffset() != int64(len(b)) {
+		return Record{}, fmt.Errorf("trailing data after the record")
 	}
 	if rec.Schema != SchemaVersion {
 		return Record{}, fmt.Errorf("schema %q, want %q", rec.Schema, SchemaVersion)

@@ -236,6 +236,12 @@ func TestReadJSONLStrict(t *testing.T) {
 	if _, err := ReadJSONL(strings.NewReader(strings.Replace(line, `"placement":"None"`, `"placement":"Diagonal"`, 1))); err == nil {
 		t.Error("unparseable point accepted")
 	}
+	rec := strings.TrimSuffix(line, "\n")
+	for _, trailing := range []string{rec, " x", "]"} {
+		if _, err := ReadJSONL(strings.NewReader(rec + trailing + "\n")); err == nil {
+			t.Errorf("line with trailing %q accepted", trailing)
+		}
+	}
 }
 
 func TestLoadCheckpoint(t *testing.T) {

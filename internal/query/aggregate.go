@@ -83,9 +83,11 @@ func Aggregate(m *machine.Machine, spec AggregationSpec) Outcome {
 	threads := m.Config().Threads
 	var table *hashtable.Table
 	groups := make([]group, 0, spec.Cardinality)
+	// W1 buffers exactly one tuple per input record, so record i's tuple
+	// sits at tuples[i]: each thread fills its own contiguous stretch.
 	var tuples []tuple
 	if spec.Holistic {
-		tuples = make([]tuple, 0, len(spec.Records))
+		tuples = make([]tuple, len(spec.Records))
 	}
 
 	// The shared table is created by the first worker, as in the paper's
@@ -116,8 +118,8 @@ func Aggregate(m *machine.Machine, spec AggregationSpec) Outcome {
 				// Buffer the tuple for the median: one allocation per
 				// input record, chained at the group's tail.
 				addr := t.Malloc(tupleBytes)
-				ti := int32(len(tuples))
-				tuples = append(tuples, tuple{addr: addr, val: rec.Val, gi: int32(gi), next: -1})
+				ti := int32(i)
+				tuples[ti] = tuple{addr: addr, val: rec.Val, gi: int32(gi), next: -1}
 				g := &groups[gi]
 				if g.n == 0 {
 					g.head = ti

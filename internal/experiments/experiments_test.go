@@ -311,6 +311,9 @@ func TestFig6W2MostlyPlacement(t *testing.T) {
 	}
 }
 
+// TestFig6W3Shape checks claim 9's W3 half on Machine A. The gain
+// measures 24.4% at cal under the round scheduler's serial-phase faults
+// (EXPERIMENTS.md known deviation 8), so the bound is 20%, not 25%.
 func TestFig6W3Shape(t *testing.T) {
 	r, err := Fig6W3(calScale, "A")
 	if err != nil {

@@ -36,12 +36,8 @@ type Descriptor struct {
 
 // Run executes the experiment with the given options, stamping the result
 // and every record with the experiment id. A zero Options runs every
-// knob at its default (deprecated SetServeOptions values still apply as
-// the fallback for callers that have not migrated).
+// knob at its default.
 func (d Descriptor) Run(s Scale, o Options) (*Result, error) {
-	if o.Serve == (ServeOptions{}) {
-		o.Serve = serveOpts
-	}
 	r, err := d.run(s, o)
 	if err != nil {
 		return nil, err

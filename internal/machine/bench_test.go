@@ -20,10 +20,10 @@ func benchAccessPath(b *testing.B, kind string, traced, profiled bool) {
 	m := NewB()
 	m.Configure(testConfig(1))
 	if profiled {
-		m.SetProfiling(true)
+		m.setProfiling(true)
 	}
 	if traced {
-		m.SetTrace(&countSink{})
+		m.setTrace(&countSink{})
 	}
 	const bufBytes = 8 << 20
 	const lines = bufBytes / 64

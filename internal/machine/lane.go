@@ -3,142 +3,101 @@ package machine
 import (
 	"sort"
 
-	"repro/internal/trace"
+	"repro/internal/topology"
 )
 
-// The round-based scheduler isolates everything a thread's quantum can
-// touch outside its own NUMA node into effect buffers that are merged in a
-// fixed order at the round boundary:
+// The round-based scheduler runs every round in two phases. In the group
+// phase each runnable thread executes one quantum, node group by node
+// group in ascending node order (thread-id order within a group). What a
+// quantum touches outside its own node's caches is held back until the
+// round boundary:
 //
 //   - counters, the DRAM contention window and AutoNUMA samples accumulate
 //     per thread (Thread.counters, dramDelta, sampleDelta) and merge in
 //     thread-id order;
-//   - the last-writer directory and trace events buffer per node group in
-//     a lane (below) and merge in node order;
-//   - anything that cannot be buffered — demand faults, page placement,
+//   - last-writer directory writes go into the round overlay (below), so a
+//     group reads its own writes and the round-start value of every line
+//     another group wrote;
+//   - anything that cannot be held back — demand faults, page placement,
 //     allocator calls — parks the thread into the round's serial phase
-//     (Thread.parkSerial), which runs after the merge against base state.
+//     (Thread.parkSerial), which runs after the overlay merge against base
+//     state.
 //
-// Because the merge order is fixed and groups never touch shared mutable
-// state while running, executing groups on one host core or many produces
-// byte-identical simulations.
+// These rules are simulated semantics: they fix the float summation order,
+// the sample merge order and when one node sees another's writes.
 
-// lane is the per-node-group effect buffer for state that needs
-// within-group read-your-writes semantics during a round: the last-writer
-// line directory (coherence tracking is immediate inside a node's cache
-// domain, round-granular across domains) and the group's trace events.
-type lane struct {
-	// epoch-tagged overlay over Machine.writerDir: entries written this
-	// round live in dirVal, marked by dirEpoch == epoch and listed in
-	// dirLog for the boundary merge. Reads fall through to the (frozen)
-	// base directory.
-	epoch    uint32
-	dirVal   []uint32
-	dirEpoch []uint32
-	dirLog   []uint32
-
-	events []trace.Event
+// overlay is the round's pending writes to Machine.writerDir. Each entry
+// records the round (epoch) and the node group that wrote it; entries of
+// older rounds are dead. Within a round coherence tracking is immediate
+// inside a node's cache domain and round-granular across domains: a group
+// sees only its own entries, and a later group's write replaces an earlier
+// group's, so at the boundary the highest node that wrote a line owns it.
+type overlay struct {
+	epoch   uint32
+	entries []overlayEntry
+	log     []uint32 // indices written this round, in first-write order
 }
 
-// beginRound opens a fresh round for the lane: prior overlay entries
-// expire by epoch bump, the write log and event buffer reset.
-func (ln *lane) beginRound() {
-	ln.epoch++
-	if ln.epoch == 0 {
+type overlayEntry struct {
+	val   uint32
+	epoch uint32
+	node  uint8 // writer's node; topology.MaxNodes fits
+}
+
+// begin opens a fresh round: prior entries expire by epoch bump and the
+// write log resets.
+func (o *overlay) begin() {
+	o.epoch++
+	if o.epoch == 0 {
 		// Epoch wrapped: stale marks from 2^32 rounds ago would alias the
 		// new epoch, so clear them once.
-		for i := range ln.dirEpoch {
-			ln.dirEpoch[i] = 0
+		for i := range o.entries {
+			o.entries[i].epoch = 0
 		}
-		ln.epoch = 1
+		o.epoch = 1
 	}
-	ln.dirLog = ln.dirLog[:0]
-	ln.events = ln.events[:0]
+	o.log = o.log[:0]
 }
 
-// dirRead returns the directory entry at idx as this lane sees it: its
-// own round-local write if present, the round-start base value otherwise.
-func (ln *lane) dirRead(m *Machine, idx uint64) uint32 {
-	if ln.dirEpoch[idx] == ln.epoch {
-		return ln.dirVal[idx]
+// read returns the directory entry at idx as node's group sees it: its own
+// write of this round if there is one, the round-start base value
+// otherwise.
+func (o *overlay) read(base []uint32, idx uint64, node topology.NodeID) uint32 {
+	if e := &o.entries[idx]; e.epoch == o.epoch && e.node == uint8(node) {
+		return e.val
 	}
-	return m.writerDir[idx]
+	return base[idx]
 }
 
-// dirWrite records a directory write in the lane's overlay.
-func (ln *lane) dirWrite(idx uint64, v uint32) {
-	if ln.dirEpoch[idx] != ln.epoch {
-		ln.dirEpoch[idx] = ln.epoch
-		ln.dirLog = append(ln.dirLog, uint32(idx))
+// write records node's group writing v at idx this round.
+func (o *overlay) write(idx uint64, node topology.NodeID, v uint32) {
+	e := &o.entries[idx]
+	if e.epoch != o.epoch {
+		e.epoch = o.epoch
+		o.log = append(o.log, uint32(idx))
 	}
-	ln.dirVal[idx] = v
+	e.node = uint8(node)
+	e.val = v
 }
 
-// schedGroup is one round's worth of work for one NUMA node: the node's
-// runnable threads (in thread-id order) and its lane. Groups are the unit
-// RunParallel distributes across host cores.
-type schedGroup struct {
-	node    int
-	threads []*Thread
-	lane    *lane
-}
-
-// ensureLanes builds the per-node lanes and group shells on first use.
-func (m *Machine) ensureLanes() {
-	if m.lanes != nil {
-		return
-	}
-	nodes := m.Spec.Topo.Nodes()
-	m.lanes = make([]*lane, nodes)
-	m.groupPool = make([]*schedGroup, nodes)
-	for i := range m.lanes {
-		m.lanes[i] = &lane{
-			dirVal:   make([]uint32, len(m.writerDir)),
-			dirEpoch: make([]uint32, len(m.writerDir)),
-		}
-		m.groupPool[i] = &schedGroup{node: i, lane: m.lanes[i]}
+// merge publishes the round's surviving writes into base.
+func (o *overlay) merge(base []uint32) {
+	for _, idx := range o.log {
+		base[idx] = o.entries[idx].val
 	}
 }
 
-// buildGroups partitions the runnable threads by current NUMA node into
-// node-ascending groups (thread-id order within each) and opens a fresh
-// lane round for every non-empty group.
-func (m *Machine) buildGroups(runnable []*Thread) []*schedGroup {
-	m.groups = m.groups[:0]
-	for node := range m.lanes {
-		var g *schedGroup
-		for _, t := range runnable {
-			if int(t.node) != node {
-				continue
-			}
-			if g == nil {
-				g = m.groupPool[node]
-				g.threads = g.threads[:0]
-				m.groups = append(m.groups, g)
-			}
-			g.threads = append(g.threads, t)
-		}
-		if g != nil {
-			g.lane.beginRound()
-		}
-	}
-	return m.groups
-}
-
-// runGroup executes one scheduling quantum for each thread of the group,
-// in thread-id order, with effects routed into the group's lane. Threads
-// that hit a serializing operation park with needSerial set and finish
-// their quantum in the round's serial phase instead.
-func (m *Machine) runGroup(g *schedGroup) {
-	for _, t := range g.threads {
-		t.quantumStart = t.cycles
-		t.lane = g.lane
-		t.resume <- struct{}{}
-		<-t.parked
-		t.lane = nil
-		if !t.needSerial {
-			m.finishQuantum(t, t.quantumStart)
-		}
+// runQuantum executes one scheduling quantum of t in the round's group
+// phase. A thread that hits a serializing operation parks with needSerial
+// set and finishes its quantum in the round's serial phase instead.
+func (m *Machine) runQuantum(t *Thread) {
+	t.quantumStart = t.cycles
+	t.inGroup = true
+	t.resume <- struct{}{}
+	<-t.parked
+	t.inGroup = false
+	if !t.needSerial {
+		m.finishQuantum(t, t.quantumStart)
 	}
 }
 
@@ -159,21 +118,6 @@ func (m *Machine) finishQuantum(t *Thread, start float64) {
 	if load > 1 {
 		t.l1.Flush()
 		t.tlb.Flush()
-	}
-}
-
-// mergeLane publishes a lane's round effects into base state: directory
-// writes in log order (lanes merge in node order, so a line written by two
-// nodes in one round deterministically keeps the higher node's entry) and
-// the group's trace events.
-func (m *Machine) mergeLane(ln *lane) {
-	for _, idx := range ln.dirLog {
-		m.writerDir[idx] = ln.dirVal[idx]
-	}
-	if m.trace != nil {
-		for i := range ln.events {
-			m.trace.Emit(ln.events[i])
-		}
 	}
 }
 

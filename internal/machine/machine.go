@@ -177,13 +177,8 @@ type Machine struct {
 	active  int // threads still running
 	current *Thread
 
-	// Round-based scheduler state (see lane.go): per-node effect lanes,
-	// the reusable group shells, and the host-core budget RunParallel may
-	// spend on concurrent node groups.
-	lanes     []*lane
-	groupPool []*schedGroup
-	groups    []*schedGroup
-	hostPar   int
+	// dir is the round's overlay of pending writerDir writes (see lane.go).
+	dir overlay
 
 	counters Counters
 	migRate  float64 // per-scheduling-event migration probability (PlaceNone)
@@ -248,38 +243,9 @@ func New(spec Spec) *Machine {
 	m.linkMult = 1
 	m.writerDir = make([]uint32, 1<<16)
 	m.samples = make(map[uint64]sampleEntry)
-	m.hostPar = defaultHostParallelism
 	m.Configure(DefaultConfig(spec.HardwareThreads()))
 	return m
 }
-
-// defaultHostParallelism seeds every new Machine's host-core budget for
-// RunParallel; CLIs set it once from -machine-parallel before building any
-// machines.
-var defaultHostParallelism = 1
-
-// SetDefaultHostParallelism sets the host parallelism newly built Machines
-// start with (the -machine-parallel flag). It must be called before the
-// machines it should affect are built; values below 1 clamp to 1 (serial).
-func SetDefaultHostParallelism(n int) {
-	if n < 1 {
-		n = 1
-	}
-	defaultHostParallelism = n
-}
-
-// SetHostParallelism sets this machine's host-core budget for RunParallel.
-// Simulated results are byte-identical at any value; only host wall time
-// changes. Values below 1 clamp to 1.
-func (m *Machine) SetHostParallelism(n int) {
-	if n < 1 {
-		n = 1
-	}
-	m.hostPar = n
-}
-
-// HostParallelism returns the machine's host-core budget for RunParallel.
-func (m *Machine) HostParallelism() int { return m.hostPar }
 
 // NewA, NewB and NewC build the three paper machines.
 func NewA() *Machine { return New(SpecA()) }
@@ -397,15 +363,14 @@ func (m *Machine) Nodes() int { return m.Spec.Topo.Nodes() }
 
 // coherencePenalty charges a cache-to-cache transfer when lineTag is dirty
 // on another node. A read downgrades the line to shared (entry cleared); a
-// write takes ownership. During a round's concurrent phase the directory
-// is read and written through the thread's lane overlay (see lane.go), so
-// cross-node ownership changes become visible at round granularity.
+// write takes ownership. During a round's group phase the directory is
+// read and written through the round overlay (see lane.go), so cross-node
+// ownership changes become visible at round granularity.
 func (m *Machine) coherencePenalty(t *Thread, lineTag uint64, write bool) float64 {
 	idx := lineTag & uint64(len(m.writerDir)-1)
-	ln := t.lane
 	var e uint32
-	if ln != nil {
-		e = ln.dirRead(m, idx)
+	if t.inGroup {
+		e = m.dir.read(m.writerDir, idx, t.node)
 	} else {
 		e = m.writerDir[idx]
 	}
@@ -415,13 +380,13 @@ func (m *Machine) coherencePenalty(t *Thread, lineTag uint64, write bool) float6
 		if owner != t.node {
 			cost = m.P.CoherenceCycles
 			// Downgraded out of the owner's cache.
-			if ln != nil {
-				ln.dirWrite(idx, 0)
+			if t.inGroup {
+				m.dir.write(idx, t.node, 0)
 			} else {
 				m.writerDir[idx] = 0
 			}
 			if m.trace != nil {
-				ev := trace.Event{
+				m.trace.Emit(trace.Event{
 					Cycle:  t.cycles,
 					Kind:   trace.Coherence,
 					Thread: int32(t.id),
@@ -429,12 +394,7 @@ func (m *Machine) coherencePenalty(t *Thread, lineTag uint64, write bool) float6
 					To:     int16(t.node),
 					Addr:   lineTag * uint64(m.Spec.LineSize),
 					Cost:   cost,
-				}
-				if ln != nil {
-					ln.events = append(ln.events, ev)
-				} else {
-					m.trace.Emit(ev)
-				}
+				})
 			}
 		}
 	}

@@ -9,11 +9,10 @@ import (
 )
 
 // ObserveOptions selects what a Machine records. The zero value observes
-// nothing; set the fields for the instruments you want. One Observe call
-// replaces the SetTrace/SetProfiling/StartSnapshots/ResetCounters setup
-// dance and applies the pieces in the only order that composes correctly
-// (instruments first, counter rescope last, so counters, snapshots and
-// profile all describe the same window).
+// nothing; set the fields for the instruments you want. Observe applies
+// the pieces in the only order that composes correctly (instruments first,
+// counter rescope last, so counters, snapshots and profile all describe
+// the same window).
 type ObserveOptions struct {
 	// Trace attaches an event sink. With Sink nil a fresh trace.Recorder
 	// is attached (retrieve it via Telemetry.Events or Machine.Trace).
@@ -47,17 +46,17 @@ func (m *Machine) Observe(o ObserveOptions) *Telemetry {
 		if s == nil {
 			s = trace.NewRecorder()
 		}
-		m.SetTrace(s)
+		m.setTrace(s)
 	}
 	if o.Spans {
 		m.spans = true
 		o.Profile = true
 	}
 	if o.Profile {
-		m.SetProfiling(true)
+		m.setProfiling(true)
 	}
 	if o.SnapEvery > 0 {
-		m.StartSnapshots(o.SnapEvery)
+		m.startSnapshots(o.SnapEvery)
 	}
 	if o.ResetCounters {
 		m.ResetCounters()
@@ -366,8 +365,7 @@ func (m *Machine) noteThreadNode(id int, home topology.NodeID) {
 }
 
 // growThreadNodeAcc sizes the table through thread id. The scheduler
-// pre-sizes at Run start so the hot path's writes (each on the thread's
-// exclusive row) never append while node groups run concurrently.
+// pre-sizes it at Run start for every thread of the run.
 func (m *Machine) growThreadNodeAcc(id int) {
 	for id >= len(m.threadNodeAcc) {
 		m.threadNodeAcc = append(m.threadNodeAcc, make([]uint64, m.Spec.Topo.Nodes()))

@@ -170,13 +170,13 @@ func refAccess(t *Thread, addr, size uint64, write bool) {
 	m := t.m
 	line := uint64(m.Spec.LineSize)
 	last := (addr + size - 1) &^ (line - 1)
-	if t.lane == nil {
+	if !t.inGroup {
 		m.current = t
 	}
 	for a := addr &^ (line - 1); a <= last; a += line {
 		refAccessLine(t, a, write)
 	}
-	if t.lane == nil {
+	if !t.inGroup {
 		m.current = nil
 	}
 	t.maybeYield()
@@ -330,9 +330,9 @@ func TestBatchedPathEquivalence(t *testing.T) {
 			run := func(ops accessOps) (Result, *Profile, []trace.Event) {
 				m := tc.machine()
 				m.Configure(tc.cfg)
-				m.SetProfiling(true)
+				m.setProfiling(true)
 				rec := trace.NewRecorder()
-				m.SetTrace(rec)
+				m.setTrace(rec)
 				var shared uint64
 				res := m.Run(tc.threads, equivBody(ops, &shared))
 				return res, m.Profile(), rec.Events

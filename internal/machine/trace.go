@@ -11,14 +11,11 @@ type Snapshot struct {
 	Counters Counters `json:"counters"`
 }
 
-// SetTrace attaches an event sink to the machine and every layer under it
-// (vmm placement events, allocator lock stalls). Pass nil to detach. With
-// no sink attached every hook reduces to one pointer compare, so untraced
-// runs pay nothing.
-//
-// Deprecated: use Observe with ObserveOptions.Trace/Sink, which composes
-// all the instruments in one call. SetTrace remains as a thin wrapper.
-func (m *Machine) SetTrace(s trace.Sink) {
+// setTrace attaches an event sink to the machine and every layer under it
+// (vmm placement events, allocator lock stalls); Observe's Trace/Sink
+// option. Pass nil to detach. With no sink attached every hook reduces to
+// one pointer compare, so untraced runs pay nothing.
+func (m *Machine) setTrace(s trace.Sink) {
 	m.trace = s
 	if s == nil {
 		m.Mem.SetTrace(nil, nil)
@@ -82,16 +79,13 @@ func (m *Machine) wireAllocHooks() {
 // so any run yields at most this many points regardless of length.
 const maxSnapshots = 64
 
-// StartSnapshots enables periodic counter snapshots every `every` simulated
-// cycles, starting a fresh series. Samples are taken at scheduling points
+// startSnapshots enables periodic counter snapshots every `every` simulated
+// cycles, starting a fresh series; Observe's SnapEvery option. Samples are taken at scheduling points
 // (between thread quanta), so each carries the counter state at the first
 // scheduling event at or after its stamp. The new series gets its own
 // backing storage: a slice previously obtained from Snapshots stays valid
 // across a restart (phase rescoping, back-to-back serving phases).
-//
-// Deprecated: use Observe with ObserveOptions.SnapEvery. StartSnapshots
-// remains as a thin wrapper.
-func (m *Machine) StartSnapshots(every float64) {
+func (m *Machine) startSnapshots(every float64) {
 	if every <= 0 {
 		every = 1e8
 	}
@@ -100,7 +94,7 @@ func (m *Machine) StartSnapshots(every float64) {
 	m.snaps = nil
 }
 
-// Snapshots returns a copy of the samples taken since StartSnapshots.
+// Snapshots returns a copy of the samples taken since snapshots started.
 // Callers own the returned slice: neither further sampling nor a snapshot
 // restart mutates it, and mutating it does not perturb the machine.
 func (m *Machine) Snapshots() []Snapshot {

@@ -28,12 +28,12 @@ func IndexJoin(m *machine.Machine, kind index.Kind, tables datagen.JoinTables) J
 		}
 	})
 
-	// Index lookups are read-only on the pre-built index, so the probe
-	// runs under RunParallel with per-thread result accumulation.
+	// Index lookups are read-only on the pre-built index; results
+	// accumulate per thread.
 	outs := make([]vec, threads)
 	perMatches := make([]uint64, threads)
 	perChecksum := make([]uint64, threads)
-	probe := m.RunParallel(threads, func(t *machine.Thread) {
+	probe := m.Run(threads, func(t *machine.Thread) {
 		n := len(s)
 		lo, hi := n*t.ID()/threads, n*(t.ID()+1)/threads
 		out := &outs[t.ID()]

@@ -178,8 +178,8 @@ var (
 	NewTPCHHarness = tpch.NewHarness
 )
 
-// Event tracing. Attach a TraceRecorder to a Machine with SetTrace and
-// every simulator event — thread migrations, page faults and migrations,
+// Event tracing. Attach a TraceRecorder to a Machine with
+// Machine.Observe(ObserveOptions{Sink: rec}) and every simulator event — thread migrations, page faults and migrations,
 // hugepage collapses and splits, AutoNUMA scan passes, allocator
 // lock-contention stalls, coherence transfers — is recorded with its
 // simulated cycle timestamp. A nil sink costs nothing. See
@@ -194,7 +194,7 @@ type (
 	// TraceRecorder is the standard in-memory sink.
 	TraceRecorder = trace.Recorder
 	// MachineSnapshot is one periodic counter sample (see
-	// Machine.StartSnapshots).
+	// ObserveOptions.SnapEvery).
 	MachineSnapshot = machine.Snapshot
 	// TraceProcess groups one machine's events for Chrome trace export.
 	TraceProcess = report.TraceProcess
@@ -209,11 +209,9 @@ var (
 
 // Unified observability and actuation. Machine.Observe(ObserveOptions)
 // configures tracing, cycle attribution, periodic counter snapshots and
-// counter rescoping in one call and returns a read-only Telemetry view —
-// it replaces the SetTrace/SetProfiling/StartSnapshots/ResetCounters
-// setter dance (those setters remain as deprecated wrappers). Telemetry
-// and Actuator are the two seams a placement daemon programs against; see
-// Machine.SetDaemon.
+// counter rescoping in one call and returns a read-only Telemetry view.
+// Telemetry and Actuator are the two seams a placement daemon programs
+// against; see Machine.SetDaemon.
 type (
 	// ObserveOptions selects what a Machine records.
 	ObserveOptions = machine.ObserveOptions
@@ -292,7 +290,8 @@ var (
 	ScaleDefault = experiments.Default
 )
 
-// Cycle attribution. Turn it on with Machine.SetProfiling(true) and every
+// Cycle attribution. Turn it on with
+// Machine.Observe(ObserveOptions{Profile: true}) and every
 // charged cycle is tagged with a component bucket — compute, cache hits,
 // DRAM by hop distance, page-table walks, fault service, kernel daemons,
 // allocator work and lock stalls, thread and page migration, TLB
